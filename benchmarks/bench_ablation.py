@@ -191,22 +191,20 @@ def test_bench_exact_vs_relaxed_parallel_ks(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Distributed vs shared-memory scaling (the cited VECPAR substrate)
+# Sharded vs shared-memory scaling (the cited VECPAR substrate)
 # ----------------------------------------------------------------------
-def test_bench_distributed_scaling_agrees(benchmark):
-    import numpy as np
+def test_bench_sharded_scaling_agrees(benchmark):
 
-    from repro.scaling import (
-        scale_sinkhorn_knopp,
-        scale_sinkhorn_knopp_distributed,
-    )
+    from repro.parallel.kernels import kernel_chunk_override
+    from repro.scaling import scale_sinkhorn_knopp
+    from repro.shard import shard_scale
 
     g = sprand(5_000, 4.0, seed=0)
-    serial = scale_sinkhorn_knopp(g, 5)
-    dist = benchmark(
-        lambda: scale_sinkhorn_knopp_distributed(g, 5, n_ranks=4)
-    )
-    np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+    with kernel_chunk_override(512):
+        serial = scale_sinkhorn_knopp(g, 5)
+        sharded = benchmark(lambda: shard_scale(g, 5, n_shards=4))
+    np.testing.assert_array_equal(sharded.dr, serial.dr)
+    np.testing.assert_array_equal(sharded.dc, serial.dc)
 
 
 # ----------------------------------------------------------------------

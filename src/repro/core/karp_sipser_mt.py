@@ -18,17 +18,18 @@ columns at ``nrows..nrows+ncols-1``.  ``choice[u] = NIL`` is allowed (an
 empty row/column has nothing to choose) — such vertices are isolated in
 the choice subgraph.
 
-Three engines share this logic:
+One production engine and two differential oracles share this logic:
 
-* :func:`karp_sipser_mt` — serial execution (the reference; also the
-  fastest in CPython);
-* :func:`karp_sipser_mt_simulated` — p simulated threads under a
-  :class:`~repro.parallel.simthread.SimScheduler`, using the atomic
+* :func:`karp_sipser_mt_vectorized` — the production engine (the default
+  of :func:`~repro.core.two_sided_match`): round-based numpy Phase 1 and
+  a vectorised Phase 2, an order of magnitude faster than the loops;
+* :func:`karp_sipser_mt` — *oracle*: serial Algorithm 4 line by line,
+  the paper reference the other engines are differentially tested
+  against (it also reports chain statistics);
+* :func:`karp_sipser_mt_simulated` — *oracle*: p simulated threads under
+  a :class:`~repro.parallel.simthread.SimScheduler`, using the atomic
   operations exactly where Algorithm 4 places them — this is how the
-  concurrency claims are verified;
-* :func:`karp_sipser_mt_threaded` — real Python threads with striped-lock
-  atomics (correctness demonstration on real threads; CPython's GIL makes
-  it a correctness tool, not a speed tool — see DESIGN.md).
+  concurrency claims are verified.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ __all__ = [
     "KarpSipserMTStats",
     "karp_sipser_mt",
     "karp_sipser_mt_vectorized",
-    "karp_sipser_mt_parallel",
     "karp_sipser_mt_simulated",
-    "karp_sipser_mt_threaded",
     "choice_graph",
     "unify_choices",
     "matching_from_unified",
@@ -188,7 +187,7 @@ def matching_from_unified(
 
 
 # ----------------------------------------------------------------------
-# Serial engine
+# Serial engine (oracle)
 # ----------------------------------------------------------------------
 def karp_sipser_mt(
     row_choice: IndexArray,
@@ -199,7 +198,9 @@ def karp_sipser_mt(
     """Run Algorithm 4 serially on a choice subgraph.
 
     Returns a maximum-cardinality matching of the graph
-    ``{(i, row_choice[i])} ∪ {(col_choice[j], j)}``.
+    ``{(i, row_choice[i])} ∪ {(col_choice[j], j)}``.  This is the
+    line-by-line paper reference, kept as the differential oracle for
+    :func:`karp_sipser_mt_vectorized`; it is ~10x slower.
     """
     choice, nrows, ncols = unify_choices(row_choice, col_choice)
     n = nrows + ncols
@@ -368,106 +369,7 @@ def karp_sipser_mt_vectorized(
 
 
 # ----------------------------------------------------------------------
-# Backend-parallel engine
-# ----------------------------------------------------------------------
-def karp_sipser_mt_parallel(
-    row_choice: IndexArray,
-    col_choice: IndexArray,
-    *,
-    backend=None,
-) -> Matching:
-    """Round-based Algorithm 4 with the scans on an execution backend.
-
-    Same rounds as :func:`karp_sipser_mt_vectorized`, but the per-round
-    candidate scan (Phase 1) and the residual-column scan (Phase 2) run
-    as registered kernels (``ks_phase1_scan`` / ``ks_phase2_scan``) —
-    the expensive full-array reads — while the cheap commits (conflict
-    scatter, in-count decrements, the actual match writes) stay in the
-    parent between rounds.  The kernels only write their own slice of a
-    mask array, so rounds are race-free by construction, and the result
-    is bitwise identical to the vectorized engine on every backend.
-    """
-    from repro.parallel.backends import get_backend
-    from repro.parallel.kernels import run_kernel
-
-    be = get_backend(backend)
-    choice, nrows, ncols = unify_choices(row_choice, col_choice)
-    n = nrows + ncols
-    with _tm.span(
-        "karp_sipser_mt.parallel", n=n, backend=be.label
-    ) as sp:
-        rounds = 0
-        match = np.full(n, NIL, dtype=np.int64)
-
-        valid = choice != NIL
-        in_count = np.zeros(n, dtype=np.int64)
-        np.add.at(in_count, choice[valid], 1)
-        alive = valid.copy()
-        cand = np.empty(n, dtype=bool)
-
-        while True:
-            run_kernel(
-                "ks_phase1_scan", n,
-                {"alive": alive, "in_count": in_count, "match": match,
-                 "choice": choice, "cand": cand},
-                backend=be,
-            )
-            candidates = np.flatnonzero(cand)
-            if candidates.size == 0:
-                break
-            rounds += 1
-            targets = choice[candidates]
-            # Scatter resolves conflicts: last writer per target survives
-            # (same resolution as the vectorized engine).
-            winner_of = np.full(n, NIL, dtype=np.int64)
-            winner_of[targets] = candidates
-            winners = winner_of[targets] == candidates
-            w = candidates[winners]
-            t = targets[winners]
-            match[w] = t
-            match[t] = w
-            alive[candidates] = False
-            alive[w] = False
-            t_next = choice[t]
-            t_has_next = t_next != NIL
-            np.subtract.at(in_count, t_next[t_has_next], 1)
-
-        if _tm.enabled():
-            phase1_pairs = int(np.count_nonzero(match != NIL)) // 2
-
-        if ncols:
-            ok = np.empty(ncols, dtype=bool)
-            run_kernel(
-                "ks_phase2_scan", ncols,
-                {"choice": choice, "match": match, "ok": ok},
-                scalars={"nrows": nrows},
-                backend=be,
-            )
-            cu = nrows + np.flatnonzero(ok)
-            cv = choice[cu]
-            winner_of = np.full(n, NIL, dtype=np.int64)
-            winner_of[cv] = cu
-            keep = winner_of[cv] == cu
-            match[cu[keep]] = cv[keep]
-            match[cv[keep]] = cu[keep]
-
-        result = matching_from_unified(match, nrows, ncols)
-        if _tm.enabled():
-            total_pairs = int(np.count_nonzero(match != NIL)) // 2
-            _record_stats(
-                "parallel",
-                KarpSipserMTStats(
-                    phase1_pairs, total_pairs - phase1_pairs,
-                    chains=-1, longest_chain=-1,
-                ),
-            )
-            _tm.incr("ks_mt.parallel.rounds", rounds)
-            sp.set(rounds=rounds, cardinality=total_pairs)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Simulated-parallel engine
+# Simulated-parallel engine (oracle)
 # ----------------------------------------------------------------------
 def _phase1_program(
     vertices: IndexArray,
@@ -612,84 +514,6 @@ def karp_sipser_mt_simulated(
             sp.set(cardinality=total_pairs)
     if with_stats:
         return result, stats
-    return result
-
-
-# ----------------------------------------------------------------------
-# Real-thread engine
-# ----------------------------------------------------------------------
-def karp_sipser_mt_threaded(
-    row_choice: IndexArray,
-    col_choice: IndexArray,
-    n_threads: int,
-) -> Matching:
-    """Run Algorithm 4 on real Python threads with locked atomics.
-
-    Demonstrates the protocol on genuine concurrency.  CPython's GIL means
-    this is about safety, not speed (the machine model covers speedups).
-    """
-    import threading
-
-    if n_threads < 1:
-        raise ShapeError(f"n_threads must be >= 1, got {n_threads}")
-    choice, nrows, ncols = unify_choices(row_choice, col_choice)
-    n = nrows + ncols
-    mark, deg0 = _init_mark_deg(choice)
-    match = AtomicArray(np.full(n, NIL, dtype=np.int64), locking=True)
-    deg = AtomicArray(deg0, locking=True)
-
-    def phase1_worker(lo: int, hi: int) -> None:
-        for u in range(lo, hi):
-            if not mark[u] or choice[u] == NIL:
-                continue
-            curr = u
-            while curr != NIL:
-                nbr = int(choice[curr])
-                if nbr == NIL:
-                    break
-                if match.compare_and_swap(nbr, NIL, curr) == curr:
-                    match.store(curr, nbr)
-                    nxt = int(choice[nbr])
-                    curr = NIL
-                    if nxt != NIL and match.load(nxt) == NIL:
-                        if deg.add_and_fetch(nxt, -1) == 1:
-                            curr = nxt
-                else:
-                    curr = NIL
-
-    def phase2_worker(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            u = nrows + j
-            v = int(choice[u])
-            if v == NIL:
-                continue
-            if match.load(u) == NIL and match.load(v) == NIL:
-                match.store(u, v)
-                match.store(v, u)
-
-    from repro.parallel.partition import static_partition
-
-    with _tm.span(
-        "karp_sipser_mt.threaded", n=n, n_threads=n_threads
-    ) as sp:
-        for name, worker, count in (
-            ("phase1", phase1_worker, n), ("phase2", phase2_worker, ncols)
-        ):
-            threads = [
-                threading.Thread(target=worker, args=(lo, hi))
-                for lo, hi in static_partition(count, n_threads)
-            ]
-            with _tm.span(name):
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-
-        result = matching_from_unified(match.values, nrows, ncols)
-        if _tm.enabled():
-            pairs = int(np.count_nonzero(match.values != NIL)) // 2
-            _tm.incr("ks_mt.threaded.runs")
-            sp.set(cardinality=pairs)
     return result
 
 

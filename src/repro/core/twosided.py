@@ -29,9 +29,7 @@ from repro.core.choice import scaled_col_choices, scaled_row_choices
 from repro.core.karp_sipser_mt import (
     KarpSipserMTStats,
     karp_sipser_mt,
-    karp_sipser_mt_parallel,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     karp_sipser_mt_vectorized,
 )
 
@@ -81,7 +79,7 @@ def two_sided_match(
     scaling: ScalingResult | None = None,
     seed: SeedLike = None,
     backend: Backend | str | None = None,
-    engine: str = "serial",
+    engine: str = "vectorized",
     n_threads: int = 4,
     sim_policy: SchedulePolicy | str = SchedulePolicy.RANDOM,
     deadline: float | None = None,
@@ -102,16 +100,15 @@ def two_sided_match(
     backend:
         Parallel backend for scaling and choice sampling.
     engine:
-        Karp–Sipser engine for the choice subgraph: ``"serial"``
-        (reference), ``"vectorized"`` (round-based numpy — the fast path
-        for large instances), ``"parallel"`` (the vectorized rounds with
-        the phase scans on *backend* — bitwise identical to
-        ``"vectorized"``), ``"simulated"`` (*n_threads* simulated
-        threads under *sim_policy* interleaving — the concurrency-
-        verification path), or ``"threaded"`` (real Python threads with
-        locked atomics).
+        Karp–Sipser engine for the choice subgraph: ``"vectorized"``
+        (default; round-based numpy — the production path), or one of
+        the two differential oracles: ``"serial"`` (Algorithm 4 line by
+        line; also fills ``ks_stats``) and ``"simulated"`` (*n_threads*
+        simulated threads under *sim_policy* interleaving — the
+        concurrency-verification path).  All three return a maximum
+        matching of the same choice subgraph.
     n_threads:
-        Thread count for the non-serial engines.
+        Thread count for the simulated engine.
     sim_policy:
         Interleaving policy for the simulated engine.
     deadline:
@@ -157,15 +154,11 @@ def two_sided_match(
             )
 
         stats: KarpSipserMTStats | None = None
-        if engine == "serial":
+        if engine == "vectorized":
+            matching = karp_sipser_mt_vectorized(row_choice, col_choice)
+        elif engine == "serial":
             matching, stats = karp_sipser_mt(
                 row_choice, col_choice, with_stats=True
-            )
-        elif engine == "vectorized":
-            matching = karp_sipser_mt_vectorized(row_choice, col_choice)
-        elif engine == "parallel":
-            matching = karp_sipser_mt_parallel(
-                row_choice, col_choice, backend=be
             )
         elif engine == "simulated":
             matching, stats = karp_sipser_mt_simulated(
@@ -176,14 +169,10 @@ def two_sided_match(
                 seed=rng,
                 with_stats=True,
             )
-        elif engine == "threaded":
-            matching = karp_sipser_mt_threaded(
-                row_choice, col_choice, n_threads
-            )
         else:
             raise ShapeError(
-                f"engine must be 'serial', 'vectorized', 'parallel', "
-                f"'simulated' or 'threaded', got {engine!r}"
+                f"engine must be 'vectorized', 'serial' or 'simulated', "
+                f"got {engine!r}"
             )
 
         if _tm.enabled():

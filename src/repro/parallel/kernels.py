@@ -1,7 +1,7 @@
 """Registered data-parallel kernels shared by every execution backend.
 
 The hot loops of the library — the Sinkhorn–Knopp column/row sweeps, the
-scaled 1-out choice sampling, and the ``KarpSipserMT`` phase scans — are
+scaled 1-out choice sampling, and the auction bidding sweep — are
 *registered kernels*: named module-level functions with the signature
 ``fn(lo, hi, views)`` that read whole arrays from *views* and write only
 the ``[lo, hi)`` slice of their declared output arrays (plus a small
@@ -49,7 +49,6 @@ from repro import telemetry as _tm
 from repro._typing import FloatArray
 from repro.errors import BackendError
 from repro.matching.matching import NIL
-from repro.parallel import native as _native
 from repro.parallel.backends import Backend, get_backend
 from repro.parallel.partition import chunk_ranges
 from repro.parallel.reduction import segment_sums
@@ -138,9 +137,8 @@ def kernel_chunk_override(chunk: int) -> Iterator[None]:
 
 
 #: Memoized chunk layouts keyed by ``(n, chunk)`` — the grid is pure in
-#: those two numbers, and hot callers (SK iterations, KS rounds, auction
-#: sweeps, serve/stream epochs) rebuild the same layout thousands of
-#: times.  Bounded: the working set is a handful of (size, granularity)
+#: those two numbers, and hot callers (SK iterations, auction sweeps,
+#: serve/stream epochs) rebuild the same layout thousands of times.  Bounded: the working set is a handful of (size, granularity)
 #: pairs per process.
 _GRID_CACHE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 _GRID_CACHE_CAP = 256
@@ -226,7 +224,7 @@ def run_kernel(
     if be.supports_kernels:
         return be.run_kernel(kern, parts, arrays, dict(scalars or {}))
 
-    fn = _native.active_fn(kern)
+    fn = kern.fn
     views: dict[str, Any] = dict(arrays)
     if scalars:
         views.update(scalars)
@@ -379,48 +377,12 @@ def _choice_flat(lo: int, hi: int, v: Mapping[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# KarpSipserMT phase scans
-# ----------------------------------------------------------------------
-@register_kernel("ks_phase1_scan", outputs=("cand",))
-def _ks_phase1_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    """Mark this range's usable out-one vertices into ``cand[lo:hi]``.
-
-    A vertex is a candidate when it is alive, nothing unmatched points at
-    it, it is unmatched, and its chosen target is unmatched.  Reads are
-    scattered (``match`` at the targets) but writes stay in the slice, so
-    rounds are race-free; the commit (conflict scatter, in-count
-    decrements) happens in the parent between rounds.
-    """
-    cand = v["cand"]
-    cand[lo:hi] = False
-    match = v["match"]
-    idx = np.flatnonzero(
-        v["alive"][lo:hi]
-        & (v["in_count"][lo:hi] == 0)
-        & (match[lo:hi] == NIL)
-    )
-    if idx.size:
-        idx = idx + lo
-        idx = idx[match[v["choice"][idx]] == NIL]
-        cand[idx] = True
-
-
-# ----------------------------------------------------------------------
 # Auction bidding sweep
 # ----------------------------------------------------------------------
 
 #: Sentinel bid target meaning "this row certifies it cannot be matched":
 #: every neighbour's price is at or above the round's dead level.
 AUCTION_DROP: int = -2
-
-# The native loops bake the sentinels in as compile-time constants; a
-# drift between the two definitions would corrupt silently, so refuse to
-# import instead.
-if _native.AUCTION_DROP != AUCTION_DROP or _native.NIL != NIL:
-    raise BackendError(
-        "repro.parallel.native sentinel constants diverge from the "
-        "canonical NIL/AUCTION_DROP definitions"
-    )
 
 
 def _segment_min2(
@@ -497,20 +459,3 @@ def _auction_bid(lo: int, hi: int, v: Mapping[str, Any]) -> None:
     v["bid_col"][lo:hi] = col
     v["bid_val"][lo:hi] = val
 
-
-@register_kernel("ks_phase2_scan", outputs=("ok",))
-def _ks_phase2_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    """Mark residual columns ``[lo, hi)`` whose choice edge is matchable.
-
-    Phase 2 of Algorithm 4: after Phase 1 the column-choice edges of the
-    residual graph form a maximum matching of it (Lemma 3), so the scan
-    is conflict-free on valid inputs.  Column ``j`` is unified vertex
-    ``nrows + j``.
-    """
-    nrows = v["nrows"]
-    match = v["match"]
-    u = np.arange(nrows + lo, nrows + hi, dtype=np.int64)
-    t = v["choice"][u]
-    m = (t != NIL) & (match[u] == NIL)
-    m[m] &= match[t[m]] == NIL
-    v["ok"][lo:hi] = m

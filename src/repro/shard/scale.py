@@ -1,9 +1,8 @@
 """2-D sharded Sinkhorn–Knopp: row *and* column ownership per shard.
 
-The 1-D seed (:mod:`repro.scaling.distributed`) partitions rows only and
-rebuilds column sums with ``np.add.at`` — a reassociated reduction that
-agrees with serial SK to rtol, not bitwise.  This module generalizes the
-same allreduce pattern to two dimensions while keeping the serial kernels:
+A 1-D row-block split would rebuild column sums with a reassociated
+reduction that agrees with serial SK to rtol only.  This module uses the
+allreduce pattern in two dimensions while keeping the serial kernels:
 each shard owns a contiguous row range and a contiguous column range
 (:class:`~repro.shard.partition.ShardSlice`) and runs the registered
 ``sk_sweep``/``sk_sweep_err`` kernels on its *rebased* CSC/CSR slices

@@ -35,7 +35,7 @@ FAMILIES = {
     ),
 }
 
-ENGINES = ("serial", "vectorized", "simulated", "threaded")
+ENGINES = ("serial", "vectorized", "simulated")
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

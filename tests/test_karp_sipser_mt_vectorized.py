@@ -100,3 +100,10 @@ class TestEngineOption:
         fast.matching.validate(g)
         assert fast.cardinality == serial.cardinality
         assert fast.ks_stats is None  # the fast path skips counters
+        default = two_sided_match(g, 3, seed=5)  # vectorized is the default
+        np.testing.assert_array_equal(
+            default.matching.row_match, fast.matching.row_match
+        )
+        np.testing.assert_array_equal(
+            default.matching.col_match, fast.matching.col_match
+        )

@@ -1,15 +1,24 @@
-"""Tests for the message-passing simulation and distributed scaling."""
+"""Tests for the in-process message-passing simulation and the sharded
+Sinkhorn-Knopp sweep that runs on it."""
+
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BackendError
-from repro.graph import from_dense, sprand, sprand_rect
+from repro.errors import (
+    BackendError,
+    ConvergenceWarning,
+    ScalingError,
+    ShardError,
+)
+from repro.graph import from_dense, from_edges, sprand, sprand_rect
+from repro.parallel import kernel_chunk_override
 from repro.parallel.mpi_sim import SimComm, run_ranks
 from repro.scaling import scale_sinkhorn_knopp
-from repro.scaling.distributed import scale_sinkhorn_knopp_distributed
+from repro.shard import shard_scale
 
 
 class TestCollectives:
@@ -188,70 +197,90 @@ class TestSingleRank:
         assert run_ranks(program, [None], max_steps=100) == [1]
 
 
+def _sharded_equals_serial(g, iterations, n_ranks):
+    """Run serial and sharded SK on a multi-chunk grid (chunk 8), assert
+    they agree bitwise, and return the sharded result."""
+    with kernel_chunk_override(8), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        serial = scale_sinkhorn_knopp(g, iterations)
+        dist = shard_scale(g, iterations, n_shards=n_ranks)
+    np.testing.assert_array_equal(dist.dr, serial.dr)
+    np.testing.assert_array_equal(dist.dc, serial.dc)
+    assert dist.error == serial.error
+    assert dist.iterations == serial.iterations
+    assert dist.rung == serial.rung
+    return dist
+
+
+@st.composite
+def _scaling_graphs(draw):
+    """Rectangular random patterns, some with whole empty rows/columns."""
+    nrows = draw(st.integers(min_value=1, max_value=90))
+    ncols = draw(st.integers(min_value=1, max_value=90))
+    nnz = draw(st.integers(min_value=0, max_value=4 * max(nrows, ncols)))
+    empty_frac = draw(st.sampled_from([0.0, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rows = rng.integers(0, nrows, size=nnz)
+    cols = rng.integers(0, ncols, size=nnz)
+    live_rows = rng.random(nrows) >= empty_frac
+    live_cols = rng.random(ncols) >= empty_frac
+    keep = live_rows[rows] & live_cols[cols]
+    return from_edges(nrows, ncols, rows[keep], cols[keep])
+
+
 class TestDistributedScaling:
+    """Row-sharded SK (``shard_scale``) over the simulated ranks gives
+    bitwise the serial factors, error, sweep count and rung."""
+
     @pytest.mark.parametrize("n_ranks", [1, 2, 3, 5])
     def test_matches_serial(self, n_ranks):
         g = sprand(300, 4.0, seed=0)
-        serial = scale_sinkhorn_knopp(g, 5)
-        dist = scale_sinkhorn_knopp_distributed(g, 5, n_ranks=n_ranks)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
-        np.testing.assert_allclose(dist.dc, serial.dc, rtol=1e-12)
-        assert dist.error == pytest.approx(serial.error, rel=1e-9)
+        _sharded_equals_serial(g, 5, n_ranks)
 
     def test_rectangular(self):
         g = sprand_rect(120, 200, 3.0, seed=1)
-        serial = scale_sinkhorn_knopp(g, 4)
-        dist = scale_sinkhorn_knopp_distributed(g, 4, n_ranks=3)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+        _sharded_equals_serial(g, 4, 3)
 
     def test_empty_lines_tolerated(self):
         a = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
         g = from_dense(a)
-        dist = scale_sinkhorn_knopp_distributed(g, 3, n_ranks=2)
+        dist = _sharded_equals_serial(g, 3, 2)
         assert np.isfinite(dist.dr).all()
         assert np.isfinite(dist.dc).all()
 
     def test_more_ranks_than_rows(self):
         g = sprand(5, 2.0, seed=0)
-        dist = scale_sinkhorn_knopp_distributed(g, 2, n_ranks=16)
-        serial = scale_sinkhorn_knopp(g, 2)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+        _sharded_equals_serial(g, 2, 16)
 
     def test_zero_iterations(self):
         g = sprand(50, 3.0, seed=0)
-        dist = scale_sinkhorn_knopp_distributed(g, 0, n_ranks=2)
+        dist = _sharded_equals_serial(g, 0, 2)
         np.testing.assert_array_equal(dist.dr, np.ones(50))
 
     def test_bad_arguments(self):
-        from repro.errors import ScalingError
-
         g = sprand(10, 2.0, seed=0)
         with pytest.raises(ScalingError):
-            scale_sinkhorn_knopp_distributed(g, -1)
-        with pytest.raises(ScalingError):
-            scale_sinkhorn_knopp_distributed(g, 2, n_ranks=0)
+            shard_scale(g, -1)
+        with pytest.raises(ShardError):
+            shard_scale(g, 2, n_shards=0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(min_value=2, max_value=120),
-        degree=st.floats(min_value=1.0, max_value=6.0),
+        g=_scaling_graphs(),
         iterations=st.integers(min_value=0, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
         n_ranks=st.integers(min_value=1, max_value=7),
     )
-    def test_rank_count_never_changes_the_factors(
-        self, n, degree, iterations, seed, n_ranks
-    ):
-        """Property: for any graph, budget, and rank count, the
-        distributed sweep agrees with the serial one to rtol 1e-12 (the
-        partial column sums are re-associated across ranks, so bitwise
-        equality is deliberately NOT claimed — see the shard subsystem
-        for the replicated-sweep variant that achieves it)."""
-        g = sprand(n, min(degree, float(n)), seed=seed)
-        serial = scale_sinkhorn_knopp(g, iterations)
-        dist = scale_sinkhorn_knopp_distributed(
-            g, iterations, n_ranks=n_ranks
-        )
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
-        np.testing.assert_allclose(dist.dc, serial.dc, rtol=1e-12)
-        assert dist.iterations == serial.iterations
+    @example(g=sprand_rect(120, 200, 3.0, seed=1), iterations=4, n_ranks=3)
+    @example(
+        g=from_dense(np.array([[1, 1, 0], [0, 0, 0], [0, 1, 0]])),
+        iterations=3, n_ranks=2,
+    )
+    @example(g=sprand(50, 3.0, seed=0), iterations=0, n_ranks=2)
+    @example(g=sprand(5, 2.0, seed=0), iterations=2, n_ranks=7)
+    def test_rank_count_never_changes_the_factors(self, g, iterations, n_ranks):
+        """Property: for any pattern (rectangular, with empty rows and
+        columns), budget and rank count, the sharded sweep is bitwise
+        the serial one — the replicated sweep never re-associates a sum."""
+        dist = _sharded_equals_serial(g, iterations, n_ranks)
+        if iterations == 0:
+            np.testing.assert_array_equal(dist.dr, np.ones(g.nrows))

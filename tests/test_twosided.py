@@ -54,7 +54,7 @@ class TestTwoSidedMatch:
         b = two_sided_match(g, 3, seed=11).matching
         np.testing.assert_array_equal(a.row_match, b.row_match)
 
-    @pytest.mark.parametrize("engine", ["serial", "simulated", "threaded"])
+    @pytest.mark.parametrize("engine", ["serial", "simulated", "vectorized"])
     def test_engines_agree_on_cardinality(self, engine):
         g = sprand(200, 4.0, seed=0)
         scaling = scale_sinkhorn_knopp(g, 3)
@@ -68,8 +68,9 @@ class TestTwoSidedMatch:
         assert res.cardinality == reference.cardinality
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ShapeError):
-            two_sided_match(identity(4), engine="quantum")
+        for engine in ("quantum", "parallel", "threaded"):
+            with pytest.raises(ShapeError):
+                two_sided_match(identity(4), engine=engine)
 
     def test_ks_stats_present_for_serial(self):
         g = sprand(100, 3.0, seed=0)
