@@ -3,10 +3,13 @@
 The wrapper owns chunk execution instead of delegating whole calls to the
 inner backend: each range runs as an independently supervised *attempt*
 (a forked child for a :class:`~repro.parallel.ProcessBackend` inner, a
-daemon thread otherwise), so one failed or stalled chunk can be retried
-alone while the other chunks' results are kept — exploiting the library
-convention that kernels *return* their slice rather than mutate shared
-state.
+job on the wrapper's reusable supervised threads otherwise — see
+:mod:`repro.resilience.threads`), so one failed or stalled chunk can be
+retried alone while the other chunks' results are kept — exploiting the
+library convention that kernels *return* their slice rather than mutate
+shared state.  A warm wrapper starts no threads: per-chunk supervisors
+and in-process attempts run on idle threads of the set, and a thread
+starts only when none is idle.
 
 Failure handling:
 
@@ -14,8 +17,12 @@ Failure handling:
   :class:`~repro.errors.WorkerCrashError` (exit status in the message).
 * An attempt exceeding the per-chunk ``deadline`` raises
   :class:`~repro.errors.DeadlineExceededError`; expired children are
-  killed, expired threads are abandoned (CPython threads cannot be
-  killed) but the caller still gets its answer within the budget.
+  killed, expired in-process attempts are abandoned (CPython threads
+  cannot be killed) but the caller still gets its answer within the
+  budget.  An abandoned attempt that has not started its kernel yet —
+  one stalled by an injected ``hang`` — never runs it; one whose kernel
+  was already running finishes in the background, and its thread takes
+  no new job until then.
 * A payload failing the integrity check (the fault injector's
   :data:`~repro.resilience.CORRUPTED` marker) raises
   :class:`~repro.errors.ResultCorruptionError`.
@@ -41,7 +48,7 @@ Telemetry: every fault, failure, retry, and recovery increments a
 is reconstructable from the event trace alone.
 
 Composing with :class:`~repro.parallel.SharedMemoryBackend`
-(``"resilient:shm"``): attempts run on supervisor-owned threads rather
+(``"resilient:shm"``): attempts run on the wrapper's own threads rather
 than the inner pool's pre-forked workers (a retry closure cannot be
 shipped to a worker that only executes registered kernels), so the
 wrapper provides the retry/deadline contract while kernels still write
@@ -50,8 +57,8 @@ their slices into the caller's arrays in place.
 
 from __future__ import annotations
 
-import threading
 import time
+import weakref
 from typing import Any
 
 from repro import telemetry as _tm
@@ -71,6 +78,7 @@ from repro.parallel.backends import (
 from repro.resilience import faults as _faults
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.threads import SupervisedThreads
 
 __all__ = ["ResilientBackend"]
 
@@ -108,7 +116,7 @@ class ResilientBackend(Backend):
         label, so one plan drives plain and resilient runs identically.
     deadline:
         Per-attempt wall-clock budget in seconds.  Expired child
-        processes are killed; expired threads are abandoned.
+        processes are killed; expired in-process attempts are abandoned.
     max_retries:
         Re-executions allowed per chunk after the first attempt.
     backoff:
@@ -168,6 +176,10 @@ class ResilientBackend(Backend):
         # keep side effects in the child.  The kernel dispatcher
         # (:func:`repro.parallel.kernels.run_kernel`) keys off this.
         self.shares_memory = not self._fork
+        # Chunk supervisors and in-process attempts; retired by close()
+        # or, for a wrapper nobody closes, when it is collected.
+        self._threads = SupervisedThreads("resilient")
+        weakref.finalize(self, self._threads.close)
 
     # -- public surface ------------------------------------------------
 
@@ -184,8 +196,8 @@ class ResilientBackend(Backend):
         if not parts:
             return []
         # Capture the caller's request budget here, on the calling thread:
-        # supervisor threads have their own (empty) thread-local state, so
-        # the budget must travel explicitly.
+        # supervisor threads have their own thread-local state, so the
+        # budget must travel explicitly.
         budget = current_deadline()
         results: list[Any] = [None] * len(parts)
         errors: list[BaseException | None] = [None] * len(parts)
@@ -193,34 +205,32 @@ class ResilientBackend(Backend):
             "resilience.map_ranges", backend=self.inner.label,
             chunks=len(parts),
         ):
-            if len(parts) == 1:
-                # Common serial-inner case: no supervisor thread needed
-                # around the supervisor logic itself.
-                self._chunk_with_retry(fn, 0, parts[0], results, errors,
-                                       budget)
-            else:
-                supervisors = [
-                    threading.Thread(
-                        target=self._chunk_with_retry,
-                        args=(fn, idx, part, results, errors, budget),
-                        name=f"resilient-chunk-{idx}",
-                        daemon=True,
+            # Every chunk but the last is supervised on a reusable
+            # thread; the calling thread supervises the last one itself.
+            supervisors = [
+                self._threads.submit(
+                    lambda begin, idx=idx, part=part: self._chunk_with_retry(
+                        fn, idx, part, results, errors, budget
                     )
-                    for idx, part in enumerate(parts)
-                ]
-                for sup in supervisors:
-                    sup.start()
-                for sup in supervisors:
-                    sup.join()
+                )
+                for idx, part in enumerate(parts[:-1])
+            ]
+            last = len(parts) - 1
+            self._chunk_with_retry(fn, last, parts[last], results, errors,
+                                   budget)
+            for sup in supervisors:
+                sup.join()
         for err in errors:
             if err is not None:
                 raise err
         return results
 
     def close(self) -> None:
+        self._threads.close()
         self.inner.close()
 
     def drain(self, timeout: float | None = None) -> bool:
+        self._threads.close()
         return self.inner.drain(timeout)
 
     def healthy(self) -> bool:
@@ -243,7 +253,8 @@ class ResilientBackend(Backend):
         errors: list[BaseException | None],
         budget: Deadline | None = None,
     ) -> None:
-        """Attempt/retry loop for one chunk (runs on a supervisor thread).
+        """Attempt/retry loop for one chunk (runs on a supervisor thread,
+        or on the calling thread for the last chunk of a map).
 
         Every exit path fills ``results[idx]`` or ``errors[idx]`` — a
         supervisor must never die silently, or the caller would see a
@@ -364,30 +375,32 @@ class ResilientBackend(Backend):
     def _attempt_thread(
         self, fn: RangeFn, lo: int, hi: int, spec, deadline: float
     ) -> Any:
-        """One attempt on a dedicated daemon thread, joined with timeout."""
-        box: dict[str, Any] = {}
+        """One attempt as a job on a reusable thread, joined with timeout.
 
-        def run() -> None:
-            try:
-                box["result"] = _faults.execute_with_fault(
-                    spec, fn, lo, hi, in_child=False
-                )
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                box["error"] = exc
+        The job is marked running only after any injected stall and just
+        before the kernel, so an attempt abandoned while still stalled
+        never writes into the caller's arrays — they may already belong
+        to a result built from a retry.  A kernel that was already
+        running when abandoned can still finish its write: CPython cannot
+        stop it.
+        """
 
-        worker = threading.Thread(
-            target=run, name=f"resilient-attempt-{lo}-{hi}", daemon=True
-        )
-        worker.start()
-        worker.join(deadline)
-        if worker.is_alive():
+        def run(begin) -> Any:
+            def kernel(lo: int, hi: int) -> Any:
+                begin()
+                return fn(lo, hi)
+
+            return _faults.execute_with_fault(
+                spec, kernel, lo, hi, in_child=False
+            )
+
+        job = self._threads.submit(run)
+        if not job.join(deadline):
             raise DeadlineExceededError(
                 f"range [{lo}, {hi}) exceeded the {deadline:.3g}s "
                 f"deadline (worker thread abandoned)"
             )
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+        return job.result()
 
     def _attempt_fork(
         self, fn: RangeFn, lo: int, hi: int, spec, deadline: float

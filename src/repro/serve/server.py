@@ -63,6 +63,7 @@ from repro.matching.matching import Matching
 from repro.parallel.backends import Backend, default_worker_count, get_backend
 from repro.resilience.deadline import Deadline, request_deadline
 from repro.resilience.resilient import ResilientBackend
+from repro.resilience.threads import SupervisedThreads
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerState, CircuitBreaker
 
@@ -366,6 +367,7 @@ class MatchingServer:
         self._miss_lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition()
+        self._rung_threads = SupervisedThreads("serve-rung")
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -468,9 +470,9 @@ class MatchingServer:
 
         Stops admission immediately, lets the workers finish everything
         already queued (every request is budget-bounded, so this
-        terminates), then stops the workers and drains the execution
-        backend.  If *timeout* expires first, the still-queued requests
-        are failed with a typed
+        terminates), then stops the workers, retires the idle rung
+        threads, and drains the execution backend.  If *timeout* expires
+        first, the still-queued requests are failed with a typed
         :class:`~repro.errors.ServerClosedError` and shutdown proceeds —
         a drain never hangs and never silently drops a ticket.  Returns
         ``True`` iff everything queued was served.
@@ -516,6 +518,7 @@ class MatchingServer:
                 self._queue.put_sentinel(_STOP)
             for worker in self._workers:
                 worker.join(timeout=5.0)
+            self._rung_threads.close()
             # A submit racing past the accepting check can enqueue after
             # the sweep above; fail those stragglers rather than strand
             # their tickets behind dead workers.
@@ -671,86 +674,60 @@ class MatchingServer:
     def _run_rung(
         self, rung: str, request: MatchRequest, budget: Deadline
     ) -> tuple[Matching, float, str | None]:
-        """One rung attempt on a dedicated thread, bounded by *budget*.
+        """One rung attempt as a job on the server's reusable rung
+        threads, bounded by *budget*.
 
-        The runner thread installs the request budget thread-locally, so
-        the resilient backend caps every chunk attempt and backoff to the
+        The job installs the request budget thread-locally, so the
+        resilient backend caps every chunk attempt and backoff to the
         remaining time; the join below additionally bounds code outside
         the backend (e.g. the ``greedy`` rung's serial loop), which is
-        abandoned on expiry like a resilient thread attempt.
+        abandoned on expiry like a resilient in-process attempt.  A job
+        abandoned before it started never runs the rung; its thread takes
+        no new job until the rung returns.
         """
         remaining = budget.remaining()
-        box: dict[str, Any] = {}
 
-        def run() -> None:
-            try:
-                with request_deadline(budget):
-                    if rung == "exact":
-                        from repro.core.twosided import two_sided_match
+        def run(begin) -> tuple[Matching, float, str | None]:
+            begin()
+            with request_deadline(budget):
+                if rung == "greedy":
+                    from repro.matching.heuristics.greedy import (
+                        greedy_edge_matching,
+                    )
 
-                        res = two_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                            engine="vectorized",
-                            quality="exact",
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    elif rung == "two_sided":
-                        from repro.core.twosided import two_sided_match
+                    matching = greedy_edge_matching(
+                        request.graph, seed=request.seed
+                    )
+                    return matching, RUNG_GUARANTEES["greedy"], None
+                if rung == "one_sided":
+                    from repro.core.onesided import one_sided_match
 
-                        res = two_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                            engine="vectorized",
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    elif rung == "one_sided":
-                        from repro.core.onesided import one_sided_match
+                    res = one_sided_match(
+                        request.graph,
+                        request.iterations,
+                        seed=request.seed,
+                        backend=self._backend,
+                    )
+                else:
+                    from repro.core.twosided import two_sided_match
 
-                        res = one_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    else:
-                        from repro.matching.heuristics.greedy import (
-                            greedy_edge_matching,
-                        )
+                    res = two_sided_match(
+                        request.graph,
+                        request.iterations,
+                        seed=request.seed,
+                        backend=self._backend,
+                        engine="vectorized",
+                        quality="exact" if rung == "exact" else "heuristic",
+                    )
+                return res.matching, res.guarantee, res.scaling.rung
 
-                        matching = greedy_edge_matching(
-                            request.graph, seed=request.seed
-                        )
-                        box["out"] = (
-                            matching, RUNG_GUARANTEES["greedy"], None
-                        )
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                box["error"] = exc
-
-        runner = threading.Thread(
-            target=run, name=f"serve-rung-{rung}", daemon=True
-        )
-        runner.start()
-        runner.join(remaining)
-        if runner.is_alive():
+        job = self._rung_threads.submit(run)
+        if not job.join(remaining):
             raise DeadlineExceededError(
                 f"rung {rung!r} exceeded the request's remaining "
                 f"{remaining:.3g}s budget (runner abandoned)"
             )
-        if "error" in box:
-            raise box["error"]
-        return box["out"]
+        return job.result()
 
     # -- ladder pressure ----------------------------------------------
 
