@@ -48,7 +48,7 @@ exact-smoke:
 	timeout 480 $(PYTHON) -m pytest -m exact -q
 
 recovery-smoke:
-	timeout 480 $(PYTHON) -m pytest -m recovery -q
+	timeout 480 $(PYTHON) -m pytest -m recovery -q -W error::RuntimeWarning
 
 # Network front: framing/client/quota/failover tests plus a live
 # 3-daemon router soak that SIGKILLs the session-owning daemon midway
@@ -62,7 +62,7 @@ net-smoke:
 # the default chunk grid.  Hard timeouts because the reconcile rounds
 # are bounded by construction — a hang is itself a bug.
 shard-smoke:
-	timeout 480 $(PYTHON) -m pytest -m shard -q
+	timeout 480 $(PYTHON) -m pytest -m shard -q -W error::RuntimeWarning
 	timeout 300 $(PYTHON) -m repro shard --check
 
 experiments:

@@ -29,6 +29,7 @@ import numpy as np
 from repro._typing import FloatArray
 from repro.graph.csr import BipartiteGraph
 from repro.parallel.reduction import segment_sums
+from repro.scaling.adaptive import measure_state, pick_probabilities
 from repro.scaling.result import ScalingResult
 
 __all__ = [
@@ -36,20 +37,6 @@ __all__ = [
     "expected_one_sided_cardinality",
     "one_sided_lower_bound",
 ]
-
-
-def _row_pick_probabilities(
-    graph: BipartiteGraph, dr: FloatArray, dc: FloatArray
-) -> FloatArray:
-    """Per-edge probability (CSR order) that the edge's row picks it."""
-    dr = np.asarray(dr, dtype=np.float64)
-    dc = np.asarray(dc, dtype=np.float64)
-    weights = dc[graph.col_ind]  # within a row, dr[i] cancels
-    row_tot = segment_sums(weights, graph.row_ptr)
-    denom = row_tot[graph.row_of_edge()]
-    probs = np.zeros_like(weights)
-    np.divide(weights, denom, out=probs, where=denom > 0)
-    return probs
 
 
 def one_sided_miss_probabilities(
@@ -60,14 +47,14 @@ def one_sided_miss_probabilities(
     Computed in log-space for numerical robustness; a column with an
     edge of probability 1 (a degree-one row) gets exactly 0.
     """
-    probs = _row_pick_probabilities(graph, scaling.dr, scaling.dc)
+    rowtot, _ = measure_state(graph, scaling.dc)
+    probs = pick_probabilities(
+        scaling.dc, rowtot, graph.row_ind, graph.col_ptr
+    )
     # log(1 - p); p == 1 -> -inf -> exp(.) == 0, which is correct.
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-np.minimum(probs, 1.0))
-    # Rearrange per-edge values from CSR to CSC order: CSC's row_ind was
-    # built by a stable argsort of col_ind, replicate that permutation.
-    order = np.argsort(graph.col_ind, kind="stable")
-    col_log = segment_sums(log_miss[order], graph.col_ptr)
+    col_log = segment_sums(log_miss, graph.col_ptr)
     miss = np.exp(col_log)
     miss[graph.col_degrees() == 0] = 1.0
     return miss
@@ -100,9 +87,7 @@ def one_sided_lower_bound(
     With a converged scaling every ``alpha_j = 1`` and the right side is
     at least ``n (1 - 1/e)``.
     """
-    probs = _row_pick_probabilities(graph, scaling.dr, scaling.dc)
-    order = np.argsort(graph.col_ind, kind="stable")
-    alpha = segment_sums(probs[order], graph.col_ptr)
+    _, alpha = measure_state(graph, scaling.dc)
     degs = graph.col_degrees().astype(np.float64)
     nonempty = degs > 0
     ratio = np.zeros_like(alpha)

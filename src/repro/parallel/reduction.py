@@ -13,9 +13,8 @@ import numpy as np
 
 from repro._typing import FloatArray, IndexArray
 from repro.errors import ShapeError
-from repro.parallel.backends import Backend, SerialBackend
 
-__all__ = ["segment_sums", "segment_sums_parallel", "gather_segments"]
+__all__ = ["segment_sums", "gather_segments"]
 
 
 def gather_segments(
@@ -70,35 +69,3 @@ def segment_sums(values: FloatArray, ptr: IndexArray) -> FloatArray:
     starts = ptr[:-1][nonempty]
     out[nonempty] = np.add.reduceat(values, starts)
     return out
-
-
-def segment_sums_parallel(
-    values: FloatArray,
-    ptr: IndexArray,
-    backend: Backend | None = None,
-) -> FloatArray:
-    """Backend-parallel :func:`segment_sums`.
-
-    The segment axis is statically partitioned across workers; each worker
-    reduces a contiguous block of segments (its slice of ``values`` is also
-    contiguous, so this is the cache-friendly decomposition).
-    """
-    backend = backend or SerialBackend()
-    ptr = np.asarray(ptr)
-    n_seg = ptr.shape[0] - 1
-    values = np.asarray(values, dtype=np.float64)
-    if n_seg <= 0:
-        return np.empty(max(n_seg, 0), dtype=np.float64)
-
-    # Workers *return* their block of sums (rather than writing into a
-    # shared output array) so the kernel also runs on process backends,
-    # where side effects stay in the child.  Each segment's sum depends
-    # only on its own slice, so the concatenated result is bitwise
-    # identical across backends and worker counts.
-    def work(lo: int, hi: int) -> FloatArray:
-        sub_ptr = ptr[lo : hi + 1] - ptr[lo]
-        sub_vals = values[ptr[lo] : ptr[hi]]
-        return segment_sums(sub_vals, sub_ptr)
-
-    pieces = backend.map_ranges(work, n_seg)
-    return np.concatenate(pieces)

@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry as _tm
+from repro._typing import FloatArray, IndexArray
 from repro.constants import ONE_SIDED_GUARANTEE, one_sided_guarantee_relaxed
 from repro.errors import ScalingError
 from repro.graph.csr import BipartiteGraph
 from repro.parallel.reduction import segment_sums
 from repro.scaling.result import ScalingResult
+from repro.scaling.sinkhorn_knopp import (
+    initial_factors,
+    kernel_sweeps,
+    sk_iterate,
+)
 
 __all__ = ["alpha_for_quality", "scale_for_quality", "QualityScaling"]
 
@@ -62,28 +69,49 @@ class QualityScaling:
     target_met: bool
 
 
-def _min_column_sum(graph: BipartiteGraph, dr, dc) -> float:
-    """Minimum column sum of the *row-normalised pick probabilities*.
+def pick_probabilities(
+    dc: FloatArray, rowtot: FloatArray, rows: IndexArray, ptr: IndexArray
+) -> FloatArray:
+    """Per-edge pick probabilities ``p_i(j) = dc_j / rowtot_i``.
 
-    Theorem 1's relaxed form needs ``Σ_i p_i(j) >= α`` where ``p_i(j)``
-    is row i's probability of picking column j — i.e. the column sums of
-    the row-stochastic matrix, not of the raw scaled values (those two
-    agree only at convergence).
+    The edges are CSC segments: *ptr* delimits the segments of the
+    columns whose factors are *dc* (all columns, or a gathered subset),
+    and *rows* holds each edge's row.  Row factors cancel within a row,
+    so only ``dc`` and the row totals matter; a row with a zero total
+    carries no mass.  Dividing (rather than multiplying by an inverse)
+    keeps every probability at most 1 whatever the factors' range.
     """
-    dr = np.asarray(dr, dtype=np.float64)
+    denom = rowtot[rows]
+    probs = np.zeros(denom.shape[0], dtype=np.float64)
+    np.divide(np.repeat(dc, np.diff(ptr)), denom, out=probs, where=denom > 0)
+    return probs
+
+
+def measure_state(
+    graph: BipartiteGraph, dc: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Exact ``(rowtot, colsum)`` of *dc* on *graph* (one O(nnz) pass).
+
+    ``rowtot[i]`` is the sum of ``dc`` over row *i*'s columns and
+    ``colsum[j]`` the column sum of the row-normalised pick
+    probabilities.  Theorem 1's relaxed form needs ``Σ_i p_i(j) >= α``:
+    the column sums of the row-stochastic matrix, not of the raw scaled
+    values (those two agree only at convergence).  This is the one
+    measure of the §3.3 certificate: :func:`scale_for_quality`,
+    :func:`~repro.stream.rescale.local_rebalance` and crash-recovery
+    recertification all read it, so a certificate re-measured from the
+    same factors compares equal bit for bit.
+    """
     dc = np.asarray(dc, dtype=np.float64)
-    row_tot = segment_sums(dc[graph.col_ind], graph.row_ptr)
-    # Work in CSC order directly (the mirror arrays are already grouped
-    # by column), avoiding a per-call argsort over the edges.
-    numer = np.repeat(dc, np.diff(graph.col_ptr))
-    denom = row_tot[graph.row_ind]
-    probs = np.zeros_like(numer)
-    np.divide(numer, denom, out=probs, where=denom > 0)
-    sums = segment_sums(probs, graph.col_ptr)
+    rowtot = segment_sums(dc[graph.col_ind], graph.row_ptr)
+    probs = pick_probabilities(dc, rowtot, graph.row_ind, graph.col_ptr)
+    return rowtot, segment_sums(probs, graph.col_ptr)
+
+
+def min_column_sum(graph: BipartiteGraph, colsum: FloatArray) -> float:
+    """The certificate: the minimum of *colsum* over nonempty columns."""
     nonempty = graph.col_degrees() > 0
-    if not nonempty.any():
-        return 0.0
-    return float(sums[nonempty].min())
+    return float(colsum[nonempty].min()) if nonempty.any() else 0.0
 
 
 def scale_for_quality(
@@ -107,40 +135,28 @@ def scale_for_quality(
     after the initial measurement, with zero sweeps.
     """
     alpha = alpha_for_quality(target_quality)
-    # The sweep loop is re-implemented here (rather than calling
-    # scale_sinkhorn_knopp repeatedly) because the stopping rule watches
-    # the min column sum, which the fixed-budget kernel does not expose,
-    # and restarting it each iteration would redo all previous sweeps.
-    from repro.scaling.sinkhorn_knopp import (
-        _reciprocal_or_one,
-        initial_factors,
-    )
-
     dr, dc, warm = initial_factors(graph, initial)
-    done = 0
-    current = _min_column_sum(graph, dr, dc)
-    while current < alpha and done < max_iterations:
-        csum = segment_sums(dr[graph.row_ind], graph.col_ptr)
-        dc = _reciprocal_or_one(csum)
-        rsum = segment_sums(dc[graph.col_ind], graph.row_ptr)
-        dr = _reciprocal_or_one(rsum)
-        done += 1
-        current = _min_column_sum(graph, dr, dc)
+    current = 0.0
 
-    from repro.scaling.convergence import column_sum_error
+    def certifies(_dr: FloatArray, dc: FloatArray) -> bool:
+        nonlocal current
+        current = min_column_sum(graph, measure_state(graph, dc)[1])
+        return current >= alpha
 
-    if warm:
-        from repro import telemetry as _tm
-
-        if _tm.enabled():
-            _tm.incr("scaling.sk.warm_starts")
-            _tm.set_gauge("scaling.warm_iterations", done)
+    run = sk_iterate(
+        *kernel_sweeps(graph, dr, dc), dr, dc, max_iterations, stop=certifies
+    )
+    if run.fell_back:
+        current = min_column_sum(graph, measure_state(graph, run.dc)[1])
+    if warm and _tm.enabled():
+        _tm.incr("scaling.sk.warm_starts")
+        _tm.set_gauge("scaling.warm_iterations", run.iterations)
 
     scaling = ScalingResult(
-        dr=dr,
-        dc=dc,
-        error=column_sum_error(graph, dr, dc),
-        iterations=done,
+        dr=run.dr,
+        dc=run.dc,
+        error=run.error,
+        iterations=run.iterations,
         converged=current >= alpha,
         warm_started=warm,
     )

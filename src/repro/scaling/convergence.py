@@ -13,8 +13,7 @@ import numpy as np
 
 from repro._typing import FloatArray
 from repro.graph.csr import BipartiteGraph
-from repro.parallel.backends import Backend
-from repro.parallel.reduction import segment_sums, segment_sums_parallel
+from repro.parallel.reduction import segment_sums
 
 __all__ = [
     "scaled_column_sums",
@@ -28,41 +27,34 @@ def scaled_column_sums(
     graph: BipartiteGraph,
     dr: FloatArray,
     dc: FloatArray,
-    backend: Backend | None = None,
 ) -> FloatArray:
     """Column sums of ``D_R A D_C``: ``dc[j] * sum_{i in A*j} dr[i]``."""
     gathered = np.asarray(dr, dtype=np.float64)[graph.row_ind]
-    if backend is None:
-        sums = segment_sums(gathered, graph.col_ptr)
-    else:
-        sums = segment_sums_parallel(gathered, graph.col_ptr, backend)
-    return sums * np.asarray(dc, dtype=np.float64)
+    return segment_sums(gathered, graph.col_ptr) * np.asarray(
+        dc, dtype=np.float64
+    )
 
 
 def scaled_row_sums(
     graph: BipartiteGraph,
     dr: FloatArray,
     dc: FloatArray,
-    backend: Backend | None = None,
 ) -> FloatArray:
     """Row sums of ``D_R A D_C``: ``dr[i] * sum_{j in Ai*} dc[j]``."""
     gathered = np.asarray(dc, dtype=np.float64)[graph.col_ind]
-    if backend is None:
-        sums = segment_sums(gathered, graph.row_ptr)
-    else:
-        sums = segment_sums_parallel(gathered, graph.row_ptr, backend)
-    return sums * np.asarray(dr, dtype=np.float64)
+    return segment_sums(gathered, graph.row_ptr) * np.asarray(
+        dr, dtype=np.float64
+    )
 
 
 def column_sum_error(
     graph: BipartiteGraph,
     dr: FloatArray,
     dc: FloatArray,
-    backend: Backend | None = None,
 ) -> float:
     """``max_j |colsum_j - 1|`` over nonempty columns (the paper's
     "scaling error" in Tables 1 and 3)."""
-    sums = scaled_column_sums(graph, dr, dc, backend)
+    sums = scaled_column_sums(graph, dr, dc)
     nonempty = graph.col_degrees() > 0
     if not nonempty.any():
         return 0.0
@@ -73,10 +65,9 @@ def row_sum_error(
     graph: BipartiteGraph,
     dr: FloatArray,
     dc: FloatArray,
-    backend: Backend | None = None,
 ) -> float:
     """``max_i |rowsum_i - 1|`` over nonempty rows."""
-    sums = scaled_row_sums(graph, dr, dc, backend)
+    sums = scaled_row_sums(graph, dr, dc)
     nonempty = graph.row_degrees() > 0
     if not nonempty.any():
         return 0.0

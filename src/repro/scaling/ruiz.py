@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ScalingError
 from repro.graph.csr import BipartiteGraph
-from repro.parallel.backends import Backend, get_backend
 from repro.scaling.convergence import (
     column_sum_error,
     scaled_column_sums,
     scaled_row_sums,
 )
 from repro.scaling.result import ScalingResult
+from repro.scaling.sinkhorn_knopp import budget_limit
 
 __all__ = ["scale_ruiz"]
 
@@ -37,7 +36,6 @@ def scale_ruiz(
     *,
     tolerance: float | None = None,
     max_iterations: int = 1000,
-    backend: Backend | str | None = None,
     track_history: bool = False,
 ) -> ScalingResult:
     """Scale toward doubly stochastic form with Ruiz equilibration.
@@ -46,19 +44,11 @@ def scale_ruiz(
     reported error is the same column-sum deviation so the two methods'
     convergence behaviour is directly comparable.
     """
-    if iterations is not None and tolerance is not None:
-        raise ScalingError("pass either iterations or tolerance, not both")
-    if iterations is None and tolerance is None:
-        iterations = 10
-    if iterations is not None and iterations < 0:
-        raise ScalingError(f"iterations must be >= 0, got {iterations}")
-
-    be = get_backend(backend)
+    limit = budget_limit(iterations, tolerance, max_iterations)
     dr = np.ones(graph.nrows, dtype=np.float64)
     dc = np.ones(graph.ncols, dtype=np.float64)
     history: list[float] = []
 
-    limit = iterations if iterations is not None else max_iterations
     done = 0
     converged = False
     error = column_sum_error(graph, dr, dc)
@@ -66,8 +56,8 @@ def scale_ruiz(
         if tolerance is not None and error <= tolerance:
             converged = True
             break
-        rsums = scaled_row_sums(graph, dr, dc, be)
-        csums = scaled_column_sums(graph, dr, dc, be)
+        rsums = scaled_row_sums(graph, dr, dc)
+        csums = scaled_column_sums(graph, dr, dc)
         r_fac = np.ones_like(rsums)
         np.divide(1.0, np.sqrt(rsums), out=r_fac, where=rsums > 0)
         c_fac = np.ones_like(csums)

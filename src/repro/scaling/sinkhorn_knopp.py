@@ -43,11 +43,22 @@ declared ladder instead of thrashing:
 The rung used is recorded in :attr:`ScalingResult.rung`, so
 ``OneSidedMatch``/``TwoSidedMatch`` can report the best attainable
 guarantee instead of failing (see ``docs/resilience.md``).
+
+One loop
+--------
+
+This module owns the SK policy for every path that runs it: the budget
+checks and the ladder (:func:`resolve_budget`), the iteration loop
+(:func:`sk_iterate`) and the capped warning (:func:`finish_scaling`).
+Callers differ only in the sweeps they hand the loop — the registered
+kernels here and in :func:`~repro.scaling.scale_for_quality`
+(:func:`kernel_sweeps`), per-shard steps in :mod:`repro.shard.scale`.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +67,7 @@ from repro._typing import FloatArray
 from repro.errors import ConvergenceWarning, ScalingError
 from repro.graph.csr import BipartiteGraph
 from repro.parallel.backends import Backend, get_backend
-from repro.parallel.kernels import _reciprocal_or_one, run_kernel
+from repro.parallel.kernels import run_kernel
 from repro.scaling.convergence import column_sum_error
 from repro.scaling.result import ScalingResult
 
@@ -136,6 +147,210 @@ def _lacks_total_support(
     return not dulmage_mendelsohn(graph).total_support
 
 
+def budget_limit(
+    iterations: int | None, tolerance: float | None, max_iterations: int
+) -> int:
+    """Validate an ``iterations``/``tolerance`` budget and return the
+    sweep limit it requests — the argument checks every scaling routine
+    shares.  Neither given means the paper's working budget of 10."""
+    if iterations is not None and tolerance is not None:
+        raise ScalingError("pass either iterations or tolerance, not both")
+    if iterations is None and tolerance is None:
+        iterations = 10  # the paper's default working budget
+    if iterations is not None and iterations < 0:
+        raise ScalingError(f"iterations must be >= 0, got {iterations}")
+    if tolerance is not None and tolerance <= 0:
+        raise ScalingError(f"tolerance must be positive, got {tolerance}")
+    return iterations if iterations is not None else max_iterations
+
+
+class Budget(NamedTuple):
+    """A resolved SK budget: the sweep limit after the ladder, the limit
+    the caller asked for, and the ladder rung."""
+
+    limit: int
+    requested_limit: int
+    rung: str
+
+
+def resolve_budget(
+    graph: BipartiteGraph,
+    iterations: int | None,
+    tolerance: float | None,
+    *,
+    max_iterations: int = 1000,
+    degradation: bool = True,
+    capped_iterations: int = 25,
+    support_check_cutoff: int = 10_000,
+) -> Budget:
+    """Validate the budget and take the ladder decision on *graph* (see
+    the module docstring).  Sharded runs take it once on the global
+    graph, so every shard runs the same budget."""
+    requested_limit = budget_limit(iterations, tolerance, max_iterations)
+    limit = requested_limit
+    rung = "full"
+    if degradation:
+        if graph.nnz == 0:
+            # Nothing to balance: pattern-uniform is the exact answer.
+            rung, limit = "uniform", 0
+        elif _lacks_total_support(
+            graph,
+            # The maximum-matching test is only worth its cost when it
+            # can actually save sweeps (or a doomed tolerance loop).
+            support_check_cutoff if limit > capped_iterations else 0,
+        ):
+            rung = "capped"
+            limit = min(limit, capped_iterations)
+    return Budget(limit, requested_limit, rung)
+
+
+class SKRun(NamedTuple):
+    """Outcome of :func:`sk_iterate`."""
+
+    dr: FloatArray
+    dc: FloatArray
+    error: float
+    iterations: int
+    converged: bool
+    #: The non-finite fallback reset the factors to pattern-uniform.
+    fell_back: bool
+    history: tuple[float, ...]
+
+
+def sk_iterate(
+    col_sweep: Callable[[FloatArray, FloatArray], tuple[float, FloatArray]],
+    row_sweep: Callable[[FloatArray], FloatArray],
+    uniform_error: Callable[[], float],
+    dr: FloatArray,
+    dc: FloatArray,
+    limit: int,
+    *,
+    tolerance: float | None = None,
+    stop: Callable[[FloatArray, FloatArray], bool] | None = None,
+    track_history: bool = False,
+) -> SKRun:
+    """The Sinkhorn–Knopp iteration loop; every SK path runs this one.
+
+    A tier supplies its sweeps: ``col_sweep(dr, dc)`` returns the
+    column-sum error of the current ``(dr, dc)`` together with the next
+    column factors (one fused pass), ``row_sweep(dc)`` the row factors
+    for a committed ``dc``, and ``uniform_error()`` the error of
+    ``dr = dc = 1``.  The loop stops once ``error <= tolerance`` or
+    ``stop(dr, dc)`` holds (checked once per state, the final one
+    included) or after *limit* sweeps, and falls back to pattern-uniform
+    factors when the scaling went non-finite.
+    """
+    error, dc_next = col_sweep(dr, dc)
+    history: list[float] = []
+    done = 0
+    while True:
+        converged = (tolerance is not None and error <= tolerance) or (
+            stop is not None and stop(dr, dc)
+        )
+        if converged or done >= limit:
+            break
+        dc, dc_next = dc_next, dc  # commit the fused column sweep
+        dr = row_sweep(dc)
+        done += 1
+        error, dc_next = col_sweep(dr, dc)
+        if track_history:
+            history.append(error)
+        if _tm.enabled():
+            _tm.incr("scaling.sk.sweeps")
+            _tm.event("scaling.sk.sweep", iteration=done, error=error)
+    # NaN fails every comparison, so the sweeps' NaN-propagating error
+    # reductions land here too.
+    fell_back = not (
+        np.isfinite(error) and np.isfinite(dr).all() and np.isfinite(dc).all()
+    )
+    if fell_back:
+        # Last rung of the ladder: a non-finite scaling would poison the
+        # choice probabilities, so fall back to pattern-uniform.
+        dr = np.ones_like(dr)
+        dc = np.ones_like(dc)
+        converged = False
+        error = uniform_error()
+    return SKRun(dr, dc, error, done, converged, fell_back, tuple(history))
+
+
+def kernel_sweeps(
+    graph: BipartiteGraph,
+    dr: FloatArray,
+    dc: FloatArray,
+    backend: Backend | str | None = None,
+) -> tuple[Callable, Callable, Callable]:
+    """The unsharded sweeps for :func:`sk_iterate`: the registered
+    ``sk_sweep_err``/``sk_sweep`` kernels on *backend*.
+
+    The fused column pass writes into whichever of two buffers (``dc``
+    and one spare) is not the current ``dc``, and the row pass rewrites
+    ``dr`` in place, so a run allocates nothing per sweep.
+    """
+    be = get_backend(backend)
+    dc_buffers = (dc, np.empty_like(dc))
+
+    def col_sweep(dr: FloatArray, dc: FloatArray) -> tuple[float, FloatArray]:
+        out = dc_buffers[1] if dc is dc_buffers[0] else dc_buffers[0]
+        errs = run_kernel(
+            "sk_sweep_err", graph.ncols,
+            {
+                "ptr": graph.col_ptr, "ind": graph.row_ind,
+                "opp": dr, "mine": dc, "out": out,
+            },
+            backend=be,
+        )
+        # np.max propagates NaN (unlike builtin max), which the
+        # non-finite fallback relies on.
+        return (float(np.max(errs)) if errs else 0.0), out
+
+    def row_sweep(dc: FloatArray) -> FloatArray:
+        run_kernel(
+            "sk_sweep", graph.nrows,
+            {"ptr": graph.row_ptr, "ind": graph.col_ind, "opp": dc, "out": dr},
+            backend=be,
+        )
+        return dr
+
+    def uniform_error() -> float:
+        return column_sum_error(
+            graph, np.ones(graph.nrows), np.ones(graph.ncols)
+        )
+
+    return col_sweep, row_sweep, uniform_error
+
+
+def finish_scaling(
+    run: SKRun, budget: Budget, tolerance: float | None, warm: bool
+) -> ScalingResult:
+    """Package a finished run: demote to ``"uniform"`` after the
+    non-finite fallback, and warn when the ``"capped"`` rung stopped
+    short of what the caller asked for."""
+    rung = "uniform" if run.fell_back else budget.rung
+    if rung == "capped" and not run.converged and (
+        budget.limit < budget.requested_limit or tolerance is not None
+    ):
+        warnings.warn(
+            ConvergenceWarning(
+                f"matrix lacks total support; Sinkhorn-Knopp stopped "
+                f"on the '{rung}' rung after {run.iterations} iteration(s) "
+                f"with column-sum error {run.error:.6g}",
+                achieved_error=run.error,
+                rung=rung,
+            ),
+            stacklevel=3,  # the caller of the public scaling function
+        )
+    return ScalingResult(
+        dr=run.dr,
+        dc=run.dc,
+        error=run.error,
+        iterations=run.iterations,
+        converged=run.converged,
+        history=run.history,
+        rung=rung,
+        warm_started=warm,
+    )
+
+
 def scale_sinkhorn_knopp(
     graph: BipartiteGraph,
     iterations: int | None = None,
@@ -193,140 +408,45 @@ def scale_sinkhorn_knopp(
         Scaling vectors, final error, iteration count, convergence flag,
         and the degradation-ladder rung used.
     """
-    if iterations is not None and tolerance is not None:
-        raise ScalingError("pass either iterations or tolerance, not both")
-    if iterations is None and tolerance is None:
-        iterations = 10  # the paper's default working budget
-    if iterations is not None and iterations < 0:
-        raise ScalingError(f"iterations must be >= 0, got {iterations}")
-    if tolerance is not None and tolerance <= 0:
-        raise ScalingError(f"tolerance must be positive, got {tolerance}")
-
-    be = get_backend(backend)
-
+    budget = resolve_budget(
+        graph,
+        iterations,
+        tolerance,
+        max_iterations=max_iterations,
+        degradation=degradation,
+        capped_iterations=capped_iterations,
+        support_check_cutoff=support_check_cutoff,
+    )
     dr, dc, warm = initial_factors(graph, initial)
-    # Double buffer for the fused sweep: each fused call measures the
-    # error of the *current* dc and writes the next column factors here;
-    # they are committed (by swap) only if the iteration proceeds.
-    dc_next = np.empty_like(dc)
-    history: list[float] = []
-
-    def col_sweep_with_error() -> float:
-        """One fused column pass: the convergence error of the current
-        ``(dr, dc)`` and, as a side effect, the next ``dc`` in
-        ``dc_next``.  One gather+reduce serves both, which cuts a full
-        SK iteration from three O(nnz) passes to two."""
-        errs = run_kernel(
-            "sk_sweep_err", graph.ncols,
-            {
-                "ptr": graph.col_ptr, "ind": graph.row_ind,
-                "opp": dr, "mine": dc, "out": dc_next,
-            },
-            backend=be,
-        )
-        # np.max propagates NaN (unlike builtin max), which the
-        # non-finite fallback below relies on.
-        return float(np.max(errs)) if errs else 0.0
-
-    def row_sweep() -> None:
-        run_kernel(
-            "sk_sweep", graph.nrows,
-            {
-                "ptr": graph.row_ptr, "ind": graph.col_ind,
-                "opp": dc, "out": dr,
-            },
-            backend=be,
-        )
-
-    limit = iterations if iterations is not None else max_iterations
-    requested_limit = limit
-    rung = "full"
-    if degradation:
-        if graph.nnz == 0:
-            # Nothing to balance: pattern-uniform is the exact answer.
-            rung, limit = "uniform", 0
-        elif _lacks_total_support(
-            graph,
-            # The maximum-matching test is only worth its cost when it
-            # can actually save sweeps (or a doomed tolerance loop).
-            support_check_cutoff if limit > capped_iterations else 0,
-        ):
-            rung = "capped"
-            limit = min(limit, capped_iterations)
-
-    done = 0
-    converged = False
     with _tm.span(
         "scaling.sinkhorn_knopp",
         nrows=graph.nrows, ncols=graph.ncols, nnz=graph.nnz,
     ) as sp:
-        error = col_sweep_with_error()
-        for _ in range(limit):
-            if tolerance is not None and error <= tolerance:
-                converged = True
-                break
-            dc, dc_next = dc_next, dc  # commit the fused column sweep
-            row_sweep()
-            done += 1
-            error = col_sweep_with_error()
-            if track_history:
-                history.append(error)
-            if _tm.enabled():
-                _tm.incr("scaling.sk.sweeps")
-                _tm.event("scaling.sk.sweep", iteration=done, error=error)
-        if tolerance is not None and error <= tolerance:
-            converged = True
-        if not (
-            np.isfinite(error)
-            and np.isfinite(dr).all()
-            and np.isfinite(dc).all()
-        ):
-            # Last rung of the ladder: a non-finite scaling would poison
-            # the choice probabilities, so fall back to pattern-uniform.
-            rung = "uniform"
-            dr[:] = 1.0
-            dc[:] = 1.0
-            converged = False
-            error = column_sum_error(graph, dr, dc)
-        if rung == "capped" and not converged and (
-            limit < requested_limit or tolerance is not None
-        ):
-            warnings.warn(
-                ConvergenceWarning(
-                    f"matrix lacks total support; Sinkhorn-Knopp stopped "
-                    f"on the '{rung}' rung after {done} iteration(s) with "
-                    f"column-sum error {error:.6g}",
-                    achieved_error=error,
-                    rung=rung,
-                ),
-                stacklevel=2,
-            )
-        if rung != "full":
+        run = sk_iterate(
+            *kernel_sweeps(graph, dr, dc, backend),
+            dr, dc, budget.limit,
+            tolerance=tolerance, track_history=track_history,
+        )
+        result = finish_scaling(run, budget, tolerance, warm)
+        if result.rung != "full":
             _tm.incr("scaling.sk.degraded")
-            _tm.event("scaling.sk.degraded", rung=rung, error=error)
+            _tm.event("scaling.sk.degraded", rung=result.rung, error=run.error)
         if warm and _tm.enabled():
             _tm.incr("scaling.sk.warm_starts")
-            _tm.set_gauge("scaling.warm_iterations", done)
-            if converged:
+            _tm.set_gauge("scaling.warm_iterations", run.iterations)
+            if run.converged:
                 # Sweeps the warm start left unspent from the budget a
                 # cold tolerance run was allowed to burn.
-                _tm.incr("scaling.warm_sweeps_saved", max(0, limit - done))
-        _tm.set_gauge("scaling.sk.error", error)
+                _tm.incr(
+                    "scaling.warm_sweeps_saved",
+                    max(0, budget.limit - run.iterations),
+                )
+        _tm.set_gauge("scaling.sk.error", run.error)
         sp.set(
-            iterations=done, error=error, converged=converged, rung=rung,
-            warm=warm,
+            iterations=run.iterations, error=run.error,
+            converged=run.converged, rung=result.rung, warm=warm,
         )
-
-    return ScalingResult(
-        dr=dr,
-        dc=dc,
-        error=error,
-        iterations=done,
-        converged=converged,
-        history=tuple(history),
-        rung=rung,
-        warm_started=warm,
-    )
+    return result
 
 
 def sinkhorn_knopp_work_profile(graph: BipartiteGraph) -> FloatArray:

@@ -12,9 +12,9 @@ import numpy as np
 
 from repro.errors import ScalingError
 from repro.graph.csr import BipartiteGraph
-from repro.parallel.backends import Backend, get_backend
 from repro.parallel.reduction import segment_sums
 from repro.scaling.result import ScalingResult
+from repro.scaling.sinkhorn_knopp import budget_limit
 
 __all__ = ["scale_symmetric", "is_pattern_symmetric"]
 
@@ -34,7 +34,6 @@ def scale_symmetric(
     *,
     tolerance: float | None = None,
     max_iterations: int = 1000,
-    backend: Backend | str | None = None,
     track_history: bool = False,
 ) -> ScalingResult:
     """Symmetric doubly stochastic scaling: returns ``dr == dc``.
@@ -48,12 +47,7 @@ def scale_symmetric(
     """
     if not is_pattern_symmetric(graph):
         raise ScalingError("scale_symmetric requires a symmetric pattern")
-    if iterations is not None and tolerance is not None:
-        raise ScalingError("pass either iterations or tolerance, not both")
-    if iterations is None and tolerance is None:
-        iterations = 10
-
-    get_backend(backend)  # validated for interface parity; sweeps are numpy
+    limit = budget_limit(iterations, tolerance, max_iterations)
     d = np.ones(graph.nrows, dtype=np.float64)
     history: list[float] = []
     nonempty = graph.row_degrees() > 0
@@ -64,7 +58,6 @@ def scale_symmetric(
             return 0.0
         return float(np.abs(sums[nonempty] - 1.0).max())
 
-    limit = iterations if iterations is not None else max_iterations
     done = 0
     converged = False
     error = current_error()

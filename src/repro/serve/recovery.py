@@ -15,11 +15,13 @@ a single request is served.  The contract, proven by the chaos matrix's
   emptier state.
 
 Recertification is not a checksum: the §3.3 guarantee of each session
-is re-measured from the recovered graph and scaling factors
-(:func:`~repro.stream.rescale.measure_state`) and compared exactly
-against the stored warm state and the last acknowledged response.  A
-checkpoint that loads cleanly but disagrees with its own graph is
-refused.
+is re-measured from the recovered graph and scaling factors by the same
+function that produced it (:func:`~repro.scaling.adaptive.measure_state`,
+which :func:`~repro.scaling.scale_for_quality` and
+:func:`~repro.stream.rescale.local_rebalance` read too), and compared
+exactly against the stored warm state and the last acknowledged
+response.  A checkpoint that loads cleanly but disagrees with its own
+graph is refused.
 
 :func:`supervise` is the watchdog: spawn the daemon, and while it keeps
 dying with nonzero status, respawn it with ``--recover`` up to a restart
@@ -86,8 +88,7 @@ def _recertify(registry: _StreamRegistry) -> None:
     journal, and graph do not describe the same state — refuse to serve
     rather than hand out a certificate nobody ever proved.
     """
-    from repro.scaling.adaptive import _min_column_sum
-    from repro.stream.rescale import measure_state
+    from repro.scaling.adaptive import measure_state, min_column_sum
 
     for handle, (graph, matcher) in registry._sessions.items():
         quality = matcher._quality
@@ -109,7 +110,8 @@ def _recertify(registry: _StreamRegistry) -> None:
         # rematched (the next rematch recertifies those).  Only when the
         # graph is at the certified epoch can the claim be re-measured.
         if matcher._epoch == graph.epoch:
-            measured = _min_column_sum(snap, scaling.dr, scaling.dc)
+            rowtot, colsum = measure_state(snap, scaling.dc)
+            measured = min_column_sum(snap, colsum)
             if measured != quality.min_column_sum:
                 raise RecoveryError(
                     f"session {handle!r}: recertified minimum column sum"
@@ -117,7 +119,6 @@ def _recertify(registry: _StreamRegistry) -> None:
                     f" {quality.min_column_sum!r}"
                 )
             if matcher._scale_state is not None:
-                rowtot, colsum = measure_state(snap, scaling.dc)
                 if not (
                     np.array_equal(rowtot, matcher._scale_state[0])
                     and np.array_equal(colsum, matcher._scale_state[1])

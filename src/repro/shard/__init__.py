@@ -11,8 +11,9 @@ path, re-proved on the global graph.
 
 Two execution tiers behind one :class:`~repro.shard.partition.ShardPlan`:
 
-* ``shard_match`` — in-process coroutine ranks on
-  :mod:`repro.parallel.mpi_sim`; bitwise equal to the serial vectorized
+* ``shard_match`` — in process: the shared SK loop over the shards'
+  sweeps, then coroutine ranks on :mod:`repro.parallel.mpi_sim` for
+  choices and reconciliation; bitwise equal to the serial vectorized
   pipeline for every shard count (the provable tier).
 * ``shard_match_daemons`` — one journaled socket daemon per shard behind
   the :class:`~repro.serve.router.Router`; shard crashes recover through

@@ -1,9 +1,10 @@
 """Daemon execution tier: one journaled socket daemon per shard.
 
-The coordinator mirrors the in-process tier's program step for step —
-the same :mod:`repro.shard.scale` budget, the same sweep/choice/commit
-order, the same rank-ordered concatenations — but each shard's kernel
-steps run inside a serving daemon behind the
+The coordinator runs the in-process tier's program step for step — the
+same budget and the same shared SK loop
+(:func:`~repro.shard.scale.sharded_sk`), the same choice/commit order,
+the same shard-ordered concatenations — but each shard's kernel steps
+run inside a serving daemon behind the
 :class:`~repro.serve.router.Router`, reached through ``shard_*`` verbs.
 
 Why the result is still bitwise equal to the sim tier (and therefore to
@@ -39,10 +40,14 @@ from ..errors import MatchingError, ShardError
 from ..graph.csr import BipartiteGraph
 from ..core.karp_sipser_mt import matching_from_unified
 from ..scaling.result import ScalingResult
-from ..scaling.sinkhorn_knopp import initial_factors
+from ..scaling.sinkhorn_knopp import (
+    finish_scaling,
+    initial_factors,
+    resolve_budget,
+)
 from .partition import ShardPlan, plan_shards
 from .pipeline import ShardMatchResult, generate_draws, shard_validate_rows
-from .scale import maybe_warn_capped, resolve_budget
+from .scale import sharded_sk
 
 __all__ = ["shard_match_daemons"]
 
@@ -86,6 +91,33 @@ class _ShardHandles:
             self.router.request({"op": "shard_close", "handle": handle})
 
 
+class _RemoteSweeps:
+    """Shard *k*'s :class:`~repro.shard.scale.ShardScaleLocal` steps,
+    run inside its daemon through ``shard_sweep`` requests."""
+
+    def __init__(self, shards: _ShardHandles, k: int) -> None:
+        self.shards = shards
+        self.k = k
+
+    def col_sweep(
+        self, dr_full: np.ndarray, dc_own: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        r = self.shards.call(
+            self.k, "shard_sweep", which="col",
+            dr=dr_full.tolist(), dc=dc_own.tolist(),
+        )
+        return np.asarray(r["dc_next"], dtype=np.float64), r["err"]
+
+    def row_sweep(self, dc_full: np.ndarray) -> np.ndarray:
+        r = self.shards.call(
+            self.k, "shard_sweep", which="row", dc=dc_full.tolist()
+        )
+        return np.asarray(r["dr"], dtype=np.float64)
+
+    def uniform_col_error(self) -> float:
+        return self.shards.call(self.k, "shard_sweep", which="uniform")["err"]
+
+
 def shard_match_daemons(
     spec: Any,
     n_shards: int = 2,
@@ -109,7 +141,7 @@ def shard_match_daemons(
     if graph is None:
         graph = build_graph(spec, None)
     plan = plan_shards(graph, n_shards)
-    limit, requested_limit, rung = resolve_budget(graph, iterations, tolerance)
+    budget = resolve_budget(graph, iterations, tolerance)
     dr, dc, warm = initial_factors(graph, None)
     draws_rows, draws_cols = generate_draws(graph, seed)
     with _tm.span(
@@ -119,9 +151,11 @@ def shard_match_daemons(
     ) as sp:
         shards = _ShardHandles(router, plan, spec)
         try:
-            result = _drive(
-                shards, plan, graph, dr, dc, limit, requested_limit, rung,
-                tolerance, warm, draws_rows, draws_cols, validate,
+            remote = [_RemoteSweeps(shards, k) for k in range(plan.n_shards)]
+            run = sharded_sk(plan, remote, dr, dc, budget.limit, tolerance)
+            scaling = finish_scaling(run, budget, tolerance, warm)
+            result = _match(
+                shards, plan, graph, scaling, draws_rows, draws_cols, validate
             )
         finally:
             shards.close()
@@ -134,83 +168,19 @@ def shard_match_daemons(
     return result
 
 
-def _drive(
+def _match(
     shards: _ShardHandles,
     plan: ShardPlan,
     graph: BipartiteGraph,
-    dr: np.ndarray,
-    dc: np.ndarray,
-    limit: int,
-    requested_limit: int,
-    rung: str,
-    tolerance: float | None,
-    warm: bool,
+    scaling: ScalingResult,
     draws_rows: np.ndarray | None,
     draws_cols: np.ndarray | None,
     validate: bool,
 ) -> ShardMatchResult:
+    """Choices, reconcile rounds and the global certificate for a
+    finished sharded scaling."""
     K = plan.n_shards
-
-    # -- Sinkhorn–Knopp, mirroring scale.sk_rounds ----------------------
-    def col_sweep_with_error() -> tuple[float, np.ndarray]:
-        errs = np.empty(K, dtype=np.float64)
-        blocks = []
-        for k in range(K):
-            s = plan.shards[k]
-            r = shards.call(
-                k, "shard_sweep", which="col",
-                dr=dr.tolist(), dc=dc[s.col_lo : s.col_hi].tolist(),
-            )
-            errs[k] = r["err"]
-            blocks.append(np.asarray(r["dc_next"], dtype=np.float64))
-        # np.max over the per-shard maxima propagates NaN, like the
-        # sim tier's allreduce(max) fold.
-        return (float(np.max(errs)) if K else 0.0), np.concatenate(blocks)
-
-    error, dc_next = col_sweep_with_error()
-    done = 0
-    converged = False
-    for _ in range(limit):
-        if tolerance is not None and error <= tolerance:
-            converged = True
-            break
-        dc, dc_next = dc_next, dc
-        dr = np.concatenate(
-            [
-                np.asarray(
-                    shards.call(k, "shard_sweep", which="row", dc=dc.tolist())[
-                        "dr"
-                    ],
-                    dtype=np.float64,
-                )
-                for k in range(K)
-            ]
-        )
-        done += 1
-        error, dc_next = col_sweep_with_error()
-    if tolerance is not None and error <= tolerance:
-        converged = True
-    fell_back = False
-    if not (
-        np.isfinite(error) and np.isfinite(dr).all() and np.isfinite(dc).all()
-    ):
-        fell_back = True
-        dr = np.ones(graph.nrows, dtype=np.float64)
-        dc = np.ones(graph.ncols, dtype=np.float64)
-        converged = False
-        error = float(
-            np.max(
-                [
-                    shards.call(k, "shard_sweep", which="uniform")["err"]
-                    for k in range(K)
-                ]
-            )
-        )
-    if fell_back:
-        rung = "uniform"
-    maybe_warn_capped(
-        rung, converged, done, error, limit, requested_limit, tolerance
-    )
+    dr, dc = scaling.dr, scaling.dc
 
     # -- choices --------------------------------------------------------
     def gather_choices(which: str, opp: np.ndarray, draws) -> np.ndarray:
@@ -280,16 +250,6 @@ def _drive(
     matching = matching_from_unified(match, graph.nrows, graph.ncols)
     if validate:
         matching.validate(graph)
-    scaling = ScalingResult(
-        dr=dr,
-        dc=dc,
-        error=error,
-        iterations=done,
-        converged=converged,
-        history=(),
-        rung=rung,
-        warm_started=warm,
-    )
     return ShardMatchResult(
         matching=matching,
         scaling=scaling,

@@ -1,8 +1,9 @@
 """The sharded matching pipeline: scale → choice → reconcile → certify.
 
-In-process execution tier: one :mod:`repro.parallel.mpi_sim` coroutine
-rank per shard runs the whole pipeline — 2-D sharded Sinkhorn–Knopp
-(:mod:`repro.shard.scale`), shard-local choice sampling on the registered
+In-process execution tier: 2-D sharded Sinkhorn–Knopp
+(:func:`~repro.shard.scale.shard_scale`, the shared SK loop over the
+shards' sweeps), then one :mod:`repro.parallel.mpi_sim` coroutine rank
+per shard for the rest — shard-local choice sampling on the registered
 ``choice_scaled`` kernel (chunk-aligned, so picks are bitwise equal to
 the serial kernel), BSP Karp–Sipser reconciliation
 (:mod:`repro.shard.reconcile`), then a distributed leg of the §3.3
@@ -32,10 +33,9 @@ from ..matching.matching import Matching
 from ..parallel.kernels import kernel_chunk_override, run_kernel
 from ..parallel.mpi_sim import SimComm, run_ranks
 from ..scaling.result import ScalingResult
-from ..scaling.sinkhorn_knopp import initial_factors
 from .partition import ShardPlan, ShardSlice, plan_shards
 from .reconcile import ReconcileState, reconcile_rounds
-from .scale import ShardScaleLocal, maybe_warn_capped, resolve_budget, sk_rounds
+from .scale import shard_scale
 
 __all__ = [
     "ShardMatchResult",
@@ -154,11 +154,7 @@ class ShardMatchResult:
 
 
 def _pipeline_program(comm: SimComm, arg):
-    shard, dr0, dc0, limit, tolerance, draws_rows, draws_cols = arg
-    local = ShardScaleLocal(shard)
-    dr, dc, error, done, converged, fell_back = yield from sk_rounds(
-        comm, local, dr0, dc0, limit, tolerance
-    )
+    shard, dr, dc, draws_rows, draws_cols = arg
     rc_blocks = yield from comm.allgather(
         shard_row_choices(shard, dc, draws_rows)
     )
@@ -180,12 +176,6 @@ def _pipeline_program(comm: SimComm, arg):
         return {"bad": bad}
     return {
         "bad": bad,
-        "dr": dr,
-        "dc": dc,
-        "error": error,
-        "done": done,
-        "converged": converged,
-        "fell_back": fell_back,
         "row_choice": row_choice,
         "col_choice": col_choice,
         "state": state,
@@ -212,19 +202,19 @@ def shard_match(
     """
     if plan is None:
         plan = plan_shards(graph, n_shards)
-    limit, requested_limit, rung = resolve_budget(graph, iterations, tolerance)
-    dr0, dc0, warm = initial_factors(graph, initial)
-    draws_rows, draws_cols = generate_draws(graph, seed)
     with _tm.span(
         "shard.match",
         n_shards=plan.n_shards, nrows=graph.nrows, ncols=graph.ncols,
         nnz=graph.nnz, boundary=plan.boundary_edges,
     ) as sp:
+        scaling = shard_scale(
+            graph, iterations, tolerance=tolerance, initial=initial, plan=plan
+        )
+        draws_rows, draws_cols = generate_draws(graph, seed)
         results = run_ranks(
             _pipeline_program,
             [
-                (s, dr0.copy(), dc0.copy(), limit, tolerance,
-                 draws_rows, draws_cols)
+                (s, scaling.dr, scaling.dc, draws_rows, draws_cols)
                 for s in plan.shards
             ],
         )
@@ -234,29 +224,13 @@ def shard_match(
                 f"sharded reconcile produced {head['bad']} matched edge(s)"
                 f" absent from their owning shard's CSR slice"
             )
-        if head["fell_back"]:
-            rung = "uniform"
-        maybe_warn_capped(
-            rung, head["converged"], head["done"], head["error"],
-            limit, requested_limit, tolerance,
-        )
-        scaling = ScalingResult(
-            dr=head["dr"],
-            dc=head["dc"],
-            error=head["error"],
-            iterations=head["done"],
-            converged=head["converged"],
-            history=(),
-            rung=rung,
-            warm_started=warm,
-        )
         state: ReconcileState = head["state"]
         matching = state.result()
         if validate:
             matching.validate(graph)
         sp.set(
             cardinality=matching.cardinality, rounds=state.rounds,
-            error=scaling.error, rung=rung,
+            error=scaling.error, rung=scaling.rung,
         )
     return ShardMatchResult(
         matching=matching,

@@ -28,9 +28,10 @@ instead of O(nnz): row totals and column sums are *delta-tracked*
 loop typically ends in a handful of rounds because a boost spreads its
 side effects over high-degree rows.  Delta tracking drifts by a few
 ulps per round, so before certifying, every row and column the loop
-touched is re-measured from the final factors by a fresh gather — the
+touched is re-measured from the final factors with
+:func:`~repro.scaling.adaptive.measure_state`'s arithmetic — the
 reported minimum and the carried state equal what a full pass would
-produce.  When the loop fails to certify the target, the caller falls
+produce, which is what crash recovery re-measures.  When the loop fails to certify the target, the caller falls
 back to warm-started global sweeps
 (:func:`~repro.scaling.scale_for_quality` with ``initial=``).
 """
@@ -40,12 +41,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry as _tm
-from repro._typing import FloatArray
+from repro._typing import FloatArray, IndexArray
 from repro.constants import ONE_SIDED_GUARANTEE, one_sided_guarantee_relaxed
 from repro.graph.csr import BipartiteGraph
 from repro.parallel.reduction import gather_segments as _gather_segments
 from repro.parallel.reduction import segment_sums
-from repro.scaling.adaptive import QualityScaling, alpha_for_quality
+from repro.scaling.adaptive import (
+    QualityScaling,
+    alpha_for_quality,
+    measure_state,
+    min_column_sum,
+    pick_probabilities,
+)
 from repro.scaling.result import ScalingResult
 
 __all__ = ["local_rebalance", "measure_state"]
@@ -64,11 +71,13 @@ _MAX_BOOST = 1e6
 #: at the round budget: ``nnz · _DC_CAP`` stays finite.
 _DC_CAP = 1e150
 
-#: Row totals below this are treated as empty (their rows contribute no
-#: probability mass).  Without the floor, a denormal total inverts to
-#: ``inf`` and one ``inf · 0`` product later the certificate is NaN; the
-#: floor also bounds the row factors handed to warm-start consumers at
+#: The delta tracking and the returned row factors treat row totals below
+#: this as empty.  Without the floor, a denormal total inverts to ``inf``
+#: and one ``inf · 0`` product later the tracked sums are NaN; the floor
+#: also bounds the row factors handed to warm-start consumers at
 #: ``1 / _ROWTOT_TINY``, inside the range Sinkhorn–Knopp sweeps survive.
+#: The certificate itself divides (:func:`measure_state`), which needs no
+#: floor: a pick probability never exceeds one.
 _ROWTOT_TINY = 1e-150
 
 #: When the final factors span more than this, renormalise ``dc`` to
@@ -86,27 +95,21 @@ def _guarded_inverse(rowtot: FloatArray) -> FloatArray:
     return inv
 
 
-
-def _column_prob_sums(
-    graph: BipartiteGraph, dc: FloatArray, inv_rowtot: FloatArray
-) -> FloatArray:
-    """All column sums of the row-normalised pick probabilities, O(nnz)."""
-    numer = np.repeat(dc, np.diff(graph.col_ptr))
-    probs = numer * inv_rowtot[graph.row_ind]
-    return segment_sums(probs, graph.col_ptr)
-
-
-def measure_state(
-    graph: BipartiteGraph, dc: FloatArray
-) -> tuple[FloatArray, FloatArray]:
-    """Exact ``(rowtot, colsum)`` of *dc* on *graph* (one O(nnz) pass).
-
-    ``rowtot[i]`` is the sum of ``dc`` over row *i*'s columns and
-    ``colsum[j]`` the column sum of the row-normalised pick
-    probabilities — the two vectors :func:`local_rebalance` maintains.
-    """
-    rowtot = segment_sums(dc[graph.col_ind], graph.row_ptr)
-    return rowtot, _column_prob_sums(graph, dc, _guarded_inverse(rowtot))
+def _refresh_columns(
+    graph: BipartiteGraph,
+    dc: FloatArray,
+    rowtot: FloatArray,
+    colsum: FloatArray,
+    cols: IndexArray,
+) -> None:
+    """Re-measure ``colsum[cols]`` from ``(dc, rowtot)`` with
+    :func:`measure_state`'s arithmetic, so the refreshed entries are
+    bitwise what a full pass would give (recovery recertification
+    compares exactly, not approximately)."""
+    rows, ptr = _gather_segments(graph.col_ptr, graph.row_ind, cols)
+    colsum[cols] = segment_sums(
+        pick_probabilities(dc[cols], rowtot, rows, ptr), ptr
+    )
 
 
 def local_rebalance(
@@ -165,19 +168,9 @@ def local_rebalance(
             rowtot[d_rows] = segment_sums(dc[cols_of_rows], sub_ptr)
             col_mask[cols_of_rows] = True
         stale = np.flatnonzero(col_mask)
-    inv_rowtot = _guarded_inverse(rowtot)
     if state is not None and stale.size:
-        # NB: multiply per edge BEFORE summing — the same operation order
-        # as `_column_prob_sums` — so the refreshed entries are bitwise
-        # identical to a from-scratch `measure_state` (recovery
-        # recertification compares exactly, not approximately).
-        rows_st, st_ptr = _gather_segments(
-            graph.col_ptr, graph.row_ind, stale
-        )
-        colsum[stale] = segment_sums(
-            np.repeat(dc[stale], np.diff(st_ptr)) * inv_rowtot[rows_st],
-            st_ptr,
-        )
+        _refresh_columns(graph, dc, rowtot, colsum, stale)
+    inv_rowtot = _guarded_inverse(rowtot)
     nonempty = np.diff(graph.col_ptr) > 0
     deficient = nonempty & (colsum < alpha)
 
@@ -258,17 +251,8 @@ def local_rebalance(
             inv_rowtot[t_rows] = _guarded_inverse(new_tot)
         t_cols = np.flatnonzero(touched_col_mask)
         if t_cols.size:
-            # Same per-edge multiplication order as `_column_prob_sums`;
-            # see the stale refresh above.
-            rows_tc, ptr_tc = _gather_segments(
-                graph.col_ptr, graph.row_ind, t_cols
-            )
-            colsum[t_cols] = segment_sums(
-                np.repeat(dc[t_cols], np.diff(ptr_tc))
-                * inv_rowtot[rows_tc],
-                ptr_tc,
-            )
-    current = float(colsum[nonempty].min()) if nonempty.any() else 0.0
+            _refresh_columns(graph, dc, rowtot, colsum, t_cols)
+    current = min_column_sum(graph, colsum)
     dr = inv_rowtot.copy()
     # Empty and near-empty rows (floor-guarded to zero above) carry no
     # probability mass; give them the conventional factor 1 so the pair

@@ -7,8 +7,14 @@ import pytest
 
 from repro.constants import ONE_SIDED_GUARANTEE
 from repro.errors import ScalingError
-from repro.graph import from_dense, fully_indecomposable, sprand
+from repro.graph import (
+    from_dense,
+    fully_indecomposable,
+    sprand,
+    union_of_permutations,
+)
 from repro.core import one_sided_match
+from repro.scaling import scale_sinkhorn_knopp
 from repro.scaling.adaptive import (
     alpha_for_quality,
     scale_for_quality,
@@ -71,6 +77,38 @@ class TestScaleForQuality:
         qs = scale_for_quality(g, 0.62, max_iterations=1)
         assert not qs.target_met or qs.scaling.iterations <= 1
         assert 0.0 <= qs.certified_quality <= ONE_SIDED_GUARANTEE
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda: union_of_permutations(3000, 3, seed=1),  # total support
+            lambda: sprand(3000, 4.0, seed=2),
+            lambda: sprand(600, 2.0, seed=3),
+        ],
+        ids=["union", "sprand-d4", "sprand-d2"],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_runs_the_sk_loop_bitwise(self, family, warm):
+        """scale_for_quality is the shared SK loop with a certificate
+        stop: its factors and error equal a fixed-budget run of the same
+        number of sweeps from the same start, bit for bit."""
+        g = family()
+        initial = None
+        if warm:
+            # A perturbed warm start, as after an edit batch.
+            rng = np.random.default_rng(0)
+            prior = scale_sinkhorn_knopp(g, 2, degradation=False)
+            initial = (
+                prior.dr * rng.uniform(0.5, 2.0, g.nrows),
+                prior.dc * rng.uniform(0.5, 2.0, g.ncols),
+            )
+        qs = scale_for_quality(g, 0.6, initial=initial)
+        ref = scale_sinkhorn_knopp(
+            g, qs.scaling.iterations, degradation=False, initial=initial
+        )
+        np.testing.assert_array_equal(qs.scaling.dr, ref.dr)
+        np.testing.assert_array_equal(qs.scaling.dc, ref.dc)
+        assert qs.scaling.error == ref.error
 
     def test_zero_target_trivially_met(self):
         g = sprand(100, 3.0, seed=0)

@@ -21,7 +21,7 @@ from repro.parallel import (
 )
 from repro.parallel.machine import ScheduleSpec
 from repro.parallel.partition import guided_chunks
-from repro.parallel.reduction import segment_sums, segment_sums_parallel
+from repro.parallel.reduction import segment_sums
 
 
 class TestPartition:
@@ -182,10 +182,6 @@ class TestSegmentSums:
             [vals[ptr[i]:ptr[i + 1]].sum() for i in range(len(seg_lengths))]
         )
         np.testing.assert_allclose(segment_sums(vals, ptr), expected)
-        with ThreadBackend(2) as be:
-            np.testing.assert_allclose(
-                segment_sums_parallel(vals, ptr, be), expected
-            )
 
 
 class TestSimScheduler:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import RecoveryError, WorkerCrashError
 from repro.resilience import FaultPlan, FaultSpec, injected_faults
 from repro.resilience.chaos import _recovery_cell, recovery_schedules
@@ -268,6 +269,45 @@ def test_journaled_registry_recovers_acked_rematch(tmp_path):
         tmp_path, cache=cache, attach_journal=False
     )
     assert again._last_ack["s1"] == acked
+
+
+def test_local_rebalance_certificate_recertifies_bitwise(tmp_path):
+    """Epochs certified by the local rebalance recover cleanly.
+
+    The rebalance certificate and the recovery re-measurement are the
+    same function of ``dc``.  When the two were computed differently
+    (one multiplied by an inverse row total, the other divided), this
+    seeded churn left them one ulp apart, and recovery refused the
+    correctly journaled session."""
+    registry = _StreamRegistry(
+        8, None, journal=DurableLog(tmp_path, checkpoint_every=1000)
+    )
+    cache = GraphCache(8)
+    spec = {"kind": "sprand", "n": 2000, "degree": 8.0, "seed": 7}
+    registry.open(
+        {"graph": spec, "target_quality": 0.55, "seed": 7}, cache
+    )
+    registry.rematch({"handle": "s1"})
+    rng = np.random.default_rng(7)
+    with telemetry.session() as reg:
+        for _ in range(3):
+            rows = rng.integers(0, 2000, size=40).tolist()
+            cols = rng.integers(0, 2000, size=40).tolist()
+            registry.update(
+                {"handle": "s1", "add": {"rows": rows, "cols": cols}}
+            )
+            assert registry.rematch({"handle": "s1"})["mode"] == "incremental"
+        # Every epoch certified locally, without the global fallback.
+        assert reg.counter("stream.rebalance.runs").value == 3
+        assert reg.counter("stream.rebalance.fallbacks").value == 0
+    acked = dict(registry._last_ack["s1"])
+    registry.journal.close()
+
+    recovered, report = recover_registry(
+        tmp_path, cache=cache, attach_journal=False
+    )
+    assert report.sessions == 1
+    assert recovered._last_ack["s1"] == acked
 
 
 # -- the supervisor ----------------------------------------------------

@@ -96,10 +96,18 @@ class TestSinkhornKnopp:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ScalingError):
             scale_sinkhorn_knopp(identity(3), -1)
+        with pytest.raises(ScalingError):
+            scale_ruiz(identity(3), -1)
+        with pytest.raises(ScalingError):
+            scale_symmetric(identity(3), -3)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ScalingError):
             scale_sinkhorn_knopp(identity(3), tolerance=0.0)
+        with pytest.raises(ScalingError):
+            scale_ruiz(identity(3), tolerance=-1.0)
+        with pytest.raises(ScalingError):
+            scale_symmetric(identity(3), tolerance=-1.0)
 
     def test_backend_equivalence(self):
         from repro.parallel import ThreadBackend
